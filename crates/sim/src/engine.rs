@@ -7,20 +7,22 @@
 //! schedules follow-up events. Determinism falls out of the FIFO
 //! tie-break in the queue and the seeded RNG owned by the model.
 
-use crate::calendar::PendingSet;
 use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Interface through which a model schedules future events while
 /// handling the current one.
-pub struct Scheduler<'a, E, Q: PendingSet<E>> {
+///
+/// The queue parameter is always [`EventQueue<E>`]: handlers spell the
+/// type `Scheduler<'_, E, EventQueue<E>>`.
+pub struct Scheduler<'a, E, Q> {
     now: SimTime,
     queue: &'a mut Q,
     halt: &'a mut bool,
     _marker: std::marker::PhantomData<E>,
 }
 
-impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
+impl<E> Scheduler<'_, E, EventQueue<E>> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -28,7 +30,7 @@ impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
 
     /// Schedule `event` to fire `delay` after now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.queue.insert(self.now + delay, event);
+        self.queue.push(self.now + delay, event);
     }
 
     /// Schedule `event` at an absolute instant. `at` must not be in the
@@ -36,7 +38,7 @@ impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
     /// event, in insertion order).
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         debug_assert!(at >= self.now, "scheduling into the past: {at:?} < {:?}", self.now);
-        self.queue.insert(at.max(self.now), event);
+        self.queue.push(at.max(self.now), event);
     }
 
     /// Request that the run stop after the current event completes.
@@ -46,7 +48,7 @@ impl<'a, E, Q: PendingSet<E>> Scheduler<'a, E, Q> {
 
     /// Number of events pending (excluding the one being handled).
     pub fn pending(&self) -> usize {
-        self.queue.pending()
+        self.queue.len()
     }
 }
 

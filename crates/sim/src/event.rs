@@ -1,11 +1,17 @@
 //! The pending-event set of the discrete-event engine.
 //!
-//! [`EventQueue`] is a binary-heap priority queue keyed on
+//! [`EventQueue`] is an indexed binary heap keyed on
 //! `(SimTime, sequence)`. The sequence number is a monotonically
 //! increasing insertion counter, which gives **FIFO ordering among
 //! same-timestamp events** — without it, the relative order of
 //! simultaneous events would depend on heap internals, and the
 //! simulation would no longer be reproducible across refactorings.
+//!
+//! The heap orders 24-byte `(time, seq, slot)` keys only; each payload
+//! is written once into a free-listed slab and moved out once by
+//! [`EventQueue::pop`], so a sift moves a key, never an event. Freed
+//! slots are reused, so once the slab has reached the peak number of
+//! pending events a push/pop cycle does not allocate.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -23,31 +29,53 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+/// A heap entry: the ordering key of one pending event and the slab
+/// slot that holds its payload.
+#[derive(Debug)]
+struct Key {
+    time: SimTime,
+    seq: u64,
+    slot: usize,
+}
+
+impl Key {
+    /// `(time, seq)` as one integer: the heap's comparisons become a
+    /// single 128-bit compare with no branch on the `time` tie. It is
+    /// computed, not stored: a `u128` field would align the key to 16
+    /// and pad it to 32 bytes.
+    fn rank(&self) -> u128 {
+        (self.time.as_micros() as u128) << 64 | self.seq as u128
     }
 }
 
-impl<E> Eq for Scheduled<E> {}
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl Eq for Key {}
+
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
+        other.rank().cmp(&self.rank())
     }
 }
 
 /// Min-priority queue of future events, ordered by `(time, insertion)`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Key>,
+    /// Payloads by slot; `None` marks a slot on the free list.
+    slab: Vec<Option<E>>,
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -60,29 +88,47 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with space for `cap` pending events.
     pub fn with_capacity(cap: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(cap), next_seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            slab: Vec::with_capacity(cap),
+            free: Vec::with_capacity(cap),
+            next_seq: 0,
+        }
     }
 
     /// Schedule `event` to fire at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Key { time, seq, slot });
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop()
+        let Key { time, seq, slot } = self.heap.pop()?;
+        let event = self.slab[slot].take().expect("heap key points at a free slot");
+        self.free.push(slot);
+        Some(Scheduled { time, seq, event })
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.peek().map(|k| k.time)
     }
 
     /// Number of pending events.
@@ -104,13 +150,15 @@ impl<E> EventQueue<E> {
     /// determinism across a clear is preserved).
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -157,5 +205,29 @@ mod tests {
         assert_eq!(q.scheduled_total(), 1);
         q.push(SimTime::ZERO, 2);
         assert_eq!(q.scheduled_total(), 2);
+    }
+
+    #[test]
+    fn heap_key_is_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Key>() <= 24, "{} B", std::mem::size_of::<Key>());
+    }
+
+    #[test]
+    fn warm_push_pop_reuses_freed_slots() {
+        // Hold 64 pending events, then run hold cycles (pop the earliest,
+        // push one later): the slab must stay at the peak pending count.
+        let mut q = EventQueue::new();
+        for i in 0..64u64 {
+            q.push(SimTime::from_micros(i * 7 % 64), i);
+        }
+        let peak = q.slab.len();
+        assert_eq!(peak, 64);
+        for i in 64..10_000u64 {
+            let s = q.pop().unwrap();
+            q.push(s.time + SimDuration::from_micros(1 + i % 97), i);
+            assert_eq!(q.slab.len(), peak, "slab grew past peak pending");
+        }
+        assert_eq!(q.len(), 64);
+        assert_eq!(q.free.len(), 0);
     }
 }

@@ -9,8 +9,8 @@
 //! distributions and streaming statistics the evaluation needs.
 //!
 //! * [`time`] — µs-resolution simulated clock types.
-//! * [`event`] — binary-heap pending-event set with FIFO tie-breaking.
-//! * [`calendar`] — calendar-queue alternative scheduler (ablation).
+//! * [`event`] — the pending-event set: an indexed binary heap of
+//!   `(time, seq, slot)` keys over a slab of payloads, FIFO among ties.
 //! * [`engine`] — the `Model`/`Simulation` driver.
 //! * [`rng`] — seeded xoshiro256** PRNG and the paper's distributions
 //!   (Poisson, Pareto, power-law/Zipf, log-normal, …).
@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod calendar;
 pub mod causal;
 pub mod engine;
 pub mod event;
@@ -65,7 +64,6 @@ pub mod time;
 
 /// Convenience re-exports of the types almost every consumer needs.
 pub mod prelude {
-    pub use crate::calendar::{CalendarQueue, PendingSet};
     pub use crate::causal::{
         AdaptProvenance, CausalLog, CausalReport, DropProvenance, DropShare, Outcome, SegmentTrace,
         Stage,

@@ -10,13 +10,19 @@
 //! horizon, and assert the counter did not move.
 //!
 //! The split sits well past the join ramp so every slab, sender
-//! buffer, event-queue arena and `update_feeds` entry is warm. Only
-//! allocations are counted (deallocs/frees are not) — a steady state
-//! that frees memory it then re-acquires would still fail, which is
-//! exactly the churn the refactor forbids.
+//! buffer, event-queue key heap, payload slab and free list, and
+//! `update_feeds` entry is warm. Only allocations are counted
+//! (deallocs/frees are not) — a steady state that frees memory it then
+//! re-acquires would still fail, which is exactly the churn the
+//! refactor forbids.
+//!
+//! The counter is process-wide, so the tests in this file take
+//! [`SERIAL`] for their whole run: a test running beside a measured
+//! window would otherwise add its own allocations to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use cloudfog::core::systems::{
     ShardedSim, ShardedSimConfig, StreamingSim, StreamingSimConfig, SystemKind,
@@ -53,6 +59,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Held by each test for its whole run, so no two counting windows
+/// overlap under the default parallel test runner.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A panicking test poisons the lock; the next test still runs alone.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn config() -> StreamingSimConfig {
     StreamingSimConfig::builder(SystemKind::CloudFogA)
         .players(200)
@@ -64,6 +79,7 @@ fn config() -> StreamingSimConfig {
 
 #[test]
 fn steady_state_hot_path_does_not_allocate() {
+    let _serial = serial();
     // Split at 10 s: the ramp ends at 5 s and measurement starts at
     // 7.5 s, so by 10 s every player is joined, every sender exists,
     // and per-flow state has been exercised at least once.
@@ -119,6 +135,7 @@ fn sharded_steady_allocs(total_players: usize) -> (u64, usize) {
 
 #[test]
 fn sharded_steady_state_memory_is_per_shard_bounded() {
+    let _serial = serial();
     // The per-shard memory contract: no sub-world holds state — or
     // allocates — proportionally to the *total* population. Each
     // world's hot path is the zero-alloc slab path pinned above, so

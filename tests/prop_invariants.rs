@@ -25,31 +25,46 @@ proptest! {
         }
     }
 
-    /// Calendar queue and binary heap agree on any monotone schedule.
+    /// The indexed heap pops exactly what a sorted reference queue pops,
+    /// `(time, seq, event)` for `(time, seq)` order, across push, pop
+    /// and `clear` interleavings that free and reuse payload slots.
     #[test]
-    fn calendar_agrees_with_heap(deltas in prop::collection::vec(0u64..500_000, 1..150)) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = EventQueue::new();
+    fn event_queue_matches_reference(ops in prop::collection::vec((0u8..10, 0u64..50), 1..300)) {
+        let mut queue = EventQueue::new();
+        // Pending (time, seq, event), kept sorted by (time, seq).
+        let mut reference: Vec<(SimTime, u64, usize)> = Vec::new();
+        let mut seq = 0u64;
         let mut now = SimTime::ZERO;
-        let mut pending = 0usize;
-        for (i, &d) in deltas.iter().enumerate() {
-            cal.push(now + SimDuration::from_micros(d), i);
-            heap.push(now + SimDuration::from_micros(d), i);
-            pending += 1;
-            if pending > 4 {
-                let a = cal.pop().unwrap();
-                let b = heap.pop().unwrap();
-                prop_assert_eq!(a.time, b.time);
-                prop_assert_eq!(a.event, b.event);
-                now = a.time;
-                pending -= 1;
+        for (i, &(op, delta)) in ops.iter().enumerate() {
+            match op {
+                0..=5 => {
+                    let at = now + SimDuration::from_micros(delta);
+                    queue.push(at, i);
+                    let pos = reference.partition_point(|&(t, s, _)| (t, s) < (at, seq));
+                    reference.insert(pos, (at, seq, i));
+                    seq += 1;
+                }
+                6..=8 => {
+                    let got = queue.pop().map(|s| (s.time, s.seq, s.event));
+                    let want = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(got, want);
+                    if let Some((t, _, _)) = got {
+                        now = t;
+                    }
+                }
+                _ => {
+                    queue.clear();
+                    reference.clear();
+                }
             }
+            prop_assert_eq!(queue.len(), reference.len());
+            prop_assert_eq!(queue.scheduled_total(), seq);
         }
-        while let Some(b) = heap.pop() {
-            let a = cal.pop().unwrap();
-            prop_assert_eq!(a.time, b.time);
-            prop_assert_eq!(a.event, b.event);
+        for want in reference {
+            let got = queue.pop().map(|s| (s.time, s.seq, s.event));
+            prop_assert_eq!(got, Some(want));
         }
+        prop_assert!(queue.pop().is_none());
     }
 
     /// Welford merge is equivalent to sequential accumulation.
