@@ -1,23 +1,24 @@
-//! The live ops plane: tick-synchronous sampling configuration and
-//! the report it produces.
+//! The live ops plane: tick-synchronous sampling configuration, the
+//! plane itself, and the report it produces.
 //!
-//! Observability here is *pull-based*: the run drivers
-//! ([`StreamingSim::run_live`] and [`ShardedSim::run_live`]) advance
-//! the event loop to each tick boundary exactly as the plain entry
-//! points do, then read the world into a
-//! [`MetricsRegistry`](cloudfog_sim::live::MetricsRegistry) through
-//! the static vocabulary in [`crate::obs::metric`]. Nothing is pushed
-//! from inside event handlers, so:
+//! Observability here is *pull-based*, and the plane is a hook of the
+//! one run driver, not a loop of its own: the live entry points
+//! ([`StreamingSim::run_live`] and [`ShardedSim::run_live`]) step the
+//! same phase loop as the plain ones, and after every boundary the
+//! driver hands the worlds to the plane, which reads them into
+//! [`MetricsRegistry`]s through the static vocabulary in
+//! [`crate::obs::metric`]. Nothing is pushed from inside event
+//! handlers, so:
 //!
-//! * **zero cost when off** — the plain `run`/`run_instrumented`
-//!   paths are untouched, byte for byte;
+//! * **zero cost when off** — without a plane the driver skips the
+//!   hook, and the plain `run`/`run_instrumented` paths do no live
+//!   work at all;
 //! * **determinism** — sampling is read-only between epochs, so a
 //!   live run's event stream (and therefore its summary fingerprint)
 //!   is identical to the plain run on the same seed, and the alert
 //!   log is a pure function of (config, seed).
 //!
-//! On top of the registry sits the
-//! [`SloEngine`](cloudfog_sim::live::SloEngine): declarative
+//! On top of the registry sits the [`SloEngine`]: declarative
 //! objectives over the paper's QoE metrics with multi-window
 //! burn-rate alerting, observed once per sampled tick after warmup.
 //!
@@ -25,23 +26,24 @@
 //! [`ShardedSim::run_live`]: crate::systems::ShardedSim::run_live
 
 use cloudfog_sim::causal::COMPONENTS;
-use cloudfog_sim::live::{AlertLog, MetricsRegistry, SloSpec};
-use cloudfog_sim::time::SimDuration;
+use cloudfog_sim::engine::Simulation;
+use cloudfog_sim::live::{AlertLog, MetricsRegistry, MetricsSink, SloEngine, SloSpec};
+use cloudfog_sim::time::{SimDuration, SimTime};
 
 use crate::obs;
+use crate::systems::simulation::{StreamingSim, StreamingSimConfig};
 
 /// Configuration of the live ops plane.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LiveConfig {
-    /// Sampling cadence for the monolithic driver. The sharded driver
-    /// ignores this and samples at its own epoch boundaries
+    /// Boundary cadence of a monolithic live run. Sharded runs ignore
+    /// this and sample at their own epoch boundaries
     /// ([`ShardedSimConfig::tick`]) — cross-shard state is only
     /// coherent there.
     ///
     /// [`ShardedSimConfig::tick`]: crate::systems::ShardedSimConfig
     pub tick: SimDuration,
-    /// Objectives the [`SloEngine`](cloudfog_sim::live::SloEngine)
-    /// evaluates each sampled tick.
+    /// Objectives the [`SloEngine`] evaluates each sampled tick.
     pub slos: Vec<SloSpec>,
     /// SLO observation starts strictly after this instant; `None`
     /// means the run's own measurement window (`ramp + ramp/2`).
@@ -82,13 +84,96 @@ pub struct LiveReport {
     pub samples: u64,
 }
 
-/// Fold per-shard causal component sums and name the dominant latency
-/// component, for cross-shard alert provenance. `None` when no shard
-/// has telemetry or nothing has been attributed yet. Summation is
+/// The live ops plane of one run: everything a live run owns beside
+/// its worlds — one registry per world, the [`SloEngine`], the warmup
+/// rule and the sink. The run driver calls [`LivePlane::sample`] once
+/// per boundary.
+pub(crate) struct LivePlane<'s> {
+    sink: &'s mut dyn MetricsSink,
+    /// One registry per world, all installed from the same static
+    /// vocabulary — which is what makes them foldable.
+    regs: Vec<MetricsRegistry>,
+    ids: obs::metric::MetricIds,
+    engine: SloEngine,
+    /// SLO observation starts strictly after this instant.
+    warmup: SimTime,
+    /// A sharded run's per-shard resident counts: its registries fold
+    /// weighted by them, in canonical shard order. `None` exposes the
+    /// one world's registry as it is — a weighted fold over a single
+    /// registry is not guaranteed bit-identical to it.
+    weights: Option<Vec<f64>>,
+    /// The latest fold of a sharded run.
+    folded: MetricsRegistry,
+    samples: u64,
+}
+
+impl<'s> LivePlane<'s> {
+    /// A plane over `worlds` worlds configured like `cfg` (its
+    /// telemetry sizes the histograms, its ramp sets the default
+    /// warmup).
+    pub(crate) fn new(
+        live: &LiveConfig,
+        sink: &'s mut dyn MetricsSink,
+        cfg: &StreamingSimConfig,
+        worlds: usize,
+        weights: Option<Vec<f64>>,
+    ) -> Self {
+        let mut installed = MetricsRegistry::new();
+        let ids = obs::metric::install(&mut installed, &cfg.telemetry.clone().unwrap_or_default());
+        LivePlane {
+            sink,
+            regs: vec![installed; worlds],
+            ids,
+            engine: SloEngine::new(live.slos.clone()),
+            warmup: SimTime::ZERO + live.warmup_for(cfg.ramp),
+            weights,
+            folded: MetricsRegistry::new(),
+            samples: 0,
+        }
+    }
+
+    /// Sample every world in canonical order — read-only, so the
+    /// event streams are untouched — stream the exposed registry into
+    /// the sink, and feed it to the SLO engine once warmup has passed.
+    pub(crate) fn sample(&mut self, boundary: SimTime, worlds: &[Simulation<StreamingSim>]) {
+        for (world, reg) in worlds.iter().zip(self.regs.iter_mut()) {
+            world.model.live_sample(reg, &self.ids);
+        }
+        if let Some(weights) = &self.weights {
+            let weighted: Vec<(f64, &MetricsRegistry)> =
+                weights.iter().copied().zip(&self.regs).collect();
+            self.folded = MetricsRegistry::fold(&weighted);
+        }
+        let exposed = if self.weights.is_some() { &self.folded } else { &self.regs[0] };
+        self.samples += 1;
+        self.sink.snapshot(boundary, exposed);
+        // Strictly after warmup: at the warmup instant itself the QoE
+        // gauges still read zero (measurement starts there), which
+        // would page every healthy run once at startup.
+        if boundary > self.warmup {
+            let sums: Vec<Option<[f64; 5]>> =
+                worlds.iter().map(|w| w.model.causal_component_sums()).collect();
+            for alert in self.engine.observe(boundary, exposed, fold_dominant(&sums)) {
+                self.sink.alert(&alert);
+            }
+        }
+    }
+
+    /// The report of a finished run: the exposed registry as of the
+    /// last boundary, every alert fired, and the sample count.
+    pub(crate) fn into_report(mut self) -> LiveReport {
+        let registry = if self.weights.is_some() { self.folded } else { self.regs.swap_remove(0) };
+        LiveReport { registry, alerts: self.engine.into_log(), samples: self.samples }
+    }
+}
+
+/// Fold per-world causal component sums and name the dominant latency
+/// component, for alert provenance. `None` when no world has
+/// telemetry or nothing has been attributed yet. Summation is
 /// order-sensitive in floating point, so callers must pass sums in
 /// canonical (ascending shard) order — the same discipline every
 /// other cross-shard fold follows.
-pub(crate) fn fold_dominant(sums: &[Option<[f64; 5]>]) -> Option<&'static str> {
+fn fold_dominant(sums: &[Option<[f64; 5]>]) -> Option<&'static str> {
     let mut total = [0.0f64; 5];
     let mut any = false;
     for s in sums.iter().flatten() {

@@ -19,12 +19,15 @@
 //! [`simulation`] is the event-driven streaming simulation behind
 //! Figures 7–11; [`supernode_load`] is the per-supernode load
 //! microbench behind Figures 10 and 11; [`sharded`] shards one run
-//! into per-region sub-worlds exchanging events at tick boundaries;
-//! [`live`] configures the tick-synchronous live ops plane both run
-//! drivers can sample into.
+//! into per-region sub-worlds exchanging events at tick boundaries.
+//! Both are stepped by one private run driver: every entry point
+//! prepares its worlds, steps them through a list of boundary times
+//! and collects each world once. [`live`] configures the
+//! tick-synchronous live ops plane that driver can sample into.
 
 pub mod coverage;
 pub mod deployment;
+mod driver;
 pub mod live;
 pub mod sharded;
 pub mod simulation;

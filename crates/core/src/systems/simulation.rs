@@ -37,12 +37,10 @@ use cloudfog_sim::causal::{
 };
 use cloudfog_sim::engine::{Model, Scheduler, Simulation};
 use cloudfog_sim::event::EventQueue;
-use cloudfog_sim::live::{MetricsRegistry, MetricsSink, SloEngine};
+use cloudfog_sim::live::{MetricsRegistry, MetricsSink};
 use cloudfog_sim::rng::Rng;
 use cloudfog_sim::series::{CounterSeries, TimeSeries};
-use cloudfog_sim::telemetry::{
-    PhaseProfiler, TelemetryConfig, TelemetryReport, TraceRecord, TraceRing,
-};
+use cloudfog_sim::telemetry::{TelemetryConfig, TelemetryReport, TraceRecord, TraceRing};
 use cloudfog_sim::time::{SimDuration, SimTime};
 use cloudfog_workload::arrival::{DiurnalArrivals, PoissonArrivals, SessionCycle};
 use cloudfog_workload::forecast::DemandForecaster;
@@ -79,6 +77,7 @@ use crate::obs;
 use crate::schedule::{SchedulingPolicy, SenderBuffer};
 use crate::streaming::{Segment, SegmentIdAlloc};
 use crate::systems::deployment::{Deployment, StreamSource, SystemKind};
+use crate::systems::driver::{self, Driver};
 use crate::systems::live::{LiveConfig, LiveReport};
 
 /// How players enter the system.
@@ -1282,31 +1281,86 @@ impl StreamingSim {
         }
     }
 
+    /// Run to the horizon and summarize.
+    ///
+    /// Players join uniformly over the ramp (deterministic stride —
+    /// the Poisson variant lives in the workload crate; a uniform
+    /// ramp keeps sweep points comparable). QoE measurement starts
+    /// after the join ramp plus a short settling period
+    /// (pre-adaptation transients are warmup).
+    pub fn run(cfg: StreamingSimConfig) -> RunSummary {
+        Self::run_instrumented(cfg).summary
+    }
+
     /// Run to the horizon and return everything: summary, optional QoE
     /// series, and — when [`StreamingSimConfig::telemetry`] is set —
     /// the [`TelemetryReport`] with quantiles, CDFs, trace counts and
     /// wall-clock phase timings (setup / event loop / collect).
     pub fn run_instrumented(cfg: StreamingSimConfig) -> RunOutput {
-        let mut profiler = cfg.telemetry.is_some().then(PhaseProfiler::new);
-        if let Some(p) = profiler.as_mut() {
-            p.enter("setup");
-        }
-        let mut sim = Self::prepared(cfg);
-        if let Some(p) = profiler.as_mut() {
-            p.enter("event_loop");
-        }
-        let report = sim.run();
+        let end = SimTime::ZERO + cfg.horizon;
+        Self::drive(cfg, &[end], None, &mut |_| {}).0
+    }
+
+    /// Like [`StreamingSim::run`], but executed in two phases split at
+    /// `split`: run to `split`, call `probe`, continue to the
+    /// configured horizon, call `probe` again, then collect. The event
+    /// stream is identical to a single-phase run — the split only
+    /// pauses the driver loop — so the summary is bit-identical to
+    /// [`StreamingSim::run`] on the same config.
+    ///
+    /// Exists for the steady-state allocation-regression test, which
+    /// snapshots the global allocator between the two probe calls.
+    pub fn run_split(
+        cfg: StreamingSimConfig,
+        split: SimTime,
+        probe: &mut dyn FnMut(),
+    ) -> RunSummary {
+        let end = SimTime::ZERO + cfg.horizon;
+        Self::drive(cfg, &[split, end], None, &mut |_| probe()).0.summary
+    }
+
+    /// Run with the live ops plane on: advance the event loop in
+    /// [`LiveConfig::tick`]-sized phases, sample the metrics
+    /// vocabulary at every boundary, stream each sample into `sink`,
+    /// and feed the [`SloEngine`](cloudfog_sim::live::SloEngine) once
+    /// warmup has passed. A boundary only pauses the engine loop, so
+    /// the returned [`RunOutput`] matches
+    /// [`StreamingSim::run_instrumented`] on the same config exactly,
+    /// at any horizon (zero included); the [`LiveReport`] rides
+    /// alongside.
+    pub fn run_live(
+        cfg: StreamingSimConfig,
+        live: &LiveConfig,
+        sink: &mut dyn MetricsSink,
+    ) -> (RunOutput, LiveReport) {
+        let boundaries = driver::ticks(live.tick, SimTime::ZERO + cfg.horizon);
+        let (out, report) = Self::drive(cfg, &boundaries, Some((live, sink)), &mut |_| {});
+        (out, report.expect("live plane requested"))
+    }
+
+    /// Step the one world of `cfg` through `boundaries` with the run
+    /// driver and collect it.
+    fn drive(
+        cfg: StreamingSimConfig,
+        boundaries: &[SimTime],
+        live: Option<(&LiveConfig, &mut dyn MetricsSink)>,
+        probe: &mut dyn FnMut(u64),
+    ) -> (RunOutput, Option<LiveReport>) {
+        let run = Driver { lanes: 1, shards: None, live, probe }
+            .run(std::slice::from_ref(&cfg), boundaries);
+        (run.outputs.into_iter().next().expect("one world"), run.live)
+    }
+
+    /// Collect a world the driver has stepped to its last boundary:
+    /// `finish` and `summarize` at the world's clock, then the
+    /// telemetry, causal, churn and prefetch reports of the planes that
+    /// are on.
+    pub(crate) fn collect(sim: Simulation<StreamingSim>) -> RunOutput {
+        let (events, end) = (sim.events_executed(), sim.now());
         let mut model = sim.model;
-        if let Some(p) = profiler.as_mut() {
-            p.enter("collect");
-        }
-        model.finish(report.end_time);
-        let summary = model.summarize(report.events_executed, report.end_time);
-        let telemetry = profiler.map(|mut prof| {
-            let mut t = model.telemetry_report(&summary);
-            t.set_phases(&mut prof);
-            t
-        });
+        model.finish(end);
+        let summary = model.summarize(events);
+        let telemetry = model.telemetry.is_some().then(|| model.telemetry_report(&summary));
         let causal = model.telemetry.as_ref().map(|t| t.causal.report(model.cfg.kind.label()));
         let churn = model.cfg.churn.is_some().then_some(model.churn_stats);
         let prefetch = model.prefetch_stats();
@@ -1315,9 +1369,9 @@ impl StreamingSim {
 
     /// Build the fully-seeded simulation for `cfg`: model constructed,
     /// measurement window set, joins / chaos / watchdog / fault events
-    /// all enqueued, horizon armed. Shared by every run entry point,
-    /// including the sharded driver (which steps the returned
-    /// simulation in tick-boundary phases via `set_horizon`).
+    /// all enqueued, horizon armed. The run driver prepares every
+    /// world with this, monolithic or shard, then steps it through its
+    /// boundaries.
     pub(crate) fn prepared(cfg: StreamingSimConfig) -> Simulation<StreamingSim> {
         let horizon = cfg.horizon;
         let ramp = cfg.ramp;
@@ -1414,122 +1468,6 @@ impl StreamingSim {
         sim
     }
 
-    /// Like [`StreamingSim::run`], but executed in two phases split at
-    /// `split`: run to `split`, call `probe`, continue to the
-    /// configured horizon, call `probe` again, then collect. The event
-    /// stream is identical to a single-phase run — the split only
-    /// pauses the driver loop — so the summary is bit-identical to
-    /// [`StreamingSim::run`] on the same config.
-    ///
-    /// Exists for the steady-state allocation-regression test, which
-    /// snapshots the global allocator between the two probe calls.
-    pub fn run_split(
-        cfg: StreamingSimConfig,
-        split: SimTime,
-        probe: &mut dyn FnMut(),
-    ) -> RunSummary {
-        let horizon = cfg.horizon;
-        let mut sim = Self::prepared(cfg);
-        sim.set_horizon(split);
-        sim.run();
-        probe();
-        sim.set_horizon(SimTime::ZERO + horizon);
-        let report = sim.run();
-        probe();
-        let mut model = sim.model;
-        model.finish(report.end_time);
-        model.summarize(report.events_executed, report.end_time)
-    }
-
-    /// Run with the live ops plane on: advance the event loop in
-    /// [`LiveConfig::tick`]-sized phases, sample the metrics
-    /// vocabulary at every boundary, stream each sample into `sink`,
-    /// and feed the [`SloEngine`](cloudfog_sim::live::SloEngine) once
-    /// warmup has passed. Phase-driving is proven bit-identical to an
-    /// uninterrupted run by [`StreamingSim::run_split`], so the
-    /// returned [`RunOutput`] matches [`StreamingSim::run_instrumented`]
-    /// on the same config exactly; the [`LiveReport`] rides alongside.
-    pub fn run_live(
-        cfg: StreamingSimConfig,
-        live: &LiveConfig,
-        sink: &mut dyn MetricsSink,
-    ) -> (RunOutput, LiveReport) {
-        let mut profiler = cfg.telemetry.is_some().then(PhaseProfiler::new);
-        if let Some(p) = profiler.as_mut() {
-            p.enter("setup");
-        }
-        let horizon = cfg.horizon;
-        let warmup = SimTime::ZERO + live.warmup_for(cfg.ramp);
-        let tcfg = cfg.telemetry.clone().unwrap_or_default();
-        let mut sim = Self::prepared(cfg);
-        let mut registry = MetricsRegistry::new();
-        let ids = obs::metric::install(&mut registry, &tcfg);
-        let mut engine = SloEngine::new(live.slos.clone());
-        if let Some(p) = profiler.as_mut() {
-            p.enter("event_loop");
-        }
-        let end = SimTime::ZERO + horizon;
-        let mut now = SimTime::ZERO;
-        let mut samples = 0u64;
-        let mut events = 0u64;
-        let mut end_time = SimTime::ZERO;
-        while now < end {
-            let boundary = (now + live.tick).min(end);
-            sim.set_horizon(boundary);
-            let report = sim.run();
-            events = report.events_executed;
-            end_time = report.end_time;
-            sim.model.live_sample(&mut registry, &ids);
-            samples += 1;
-            sink.snapshot(boundary, &registry);
-            // Strictly after warmup: at the warmup instant itself the
-            // QoE gauges still read zero (measurement starts there),
-            // which would page every healthy run once at startup.
-            if boundary > warmup {
-                let dominant = sim.model.dominant_component();
-                for alert in engine.observe(boundary, &registry, dominant) {
-                    sink.alert(&alert);
-                }
-            }
-            now = boundary;
-        }
-        let mut model = sim.model;
-        if let Some(p) = profiler.as_mut() {
-            p.enter("collect");
-        }
-        model.finish(end_time);
-        let summary = model.summarize(events, end_time);
-        let telemetry = profiler.map(|mut prof| {
-            let mut t = model.telemetry_report(&summary);
-            t.set_phases(&mut prof);
-            t
-        });
-        let causal = model.telemetry.as_ref().map(|t| t.causal.report(model.cfg.kind.label()));
-        let churn = model.cfg.churn.is_some().then_some(model.churn_stats);
-        let prefetch = model.prefetch_stats();
-        let out = RunOutput { summary, series: model.series, telemetry, causal, churn, prefetch };
-        let report = LiveReport { registry, alerts: engine.into_log(), samples };
-        (out, report)
-    }
-
-    /// Run to the horizon and summarize, also returning the QoE
-    /// series when [`StreamingSimConfig::series_bucket`] is set.
-    pub fn run_detailed(cfg: StreamingSimConfig) -> (RunSummary, Option<QoeSeries>) {
-        let out = Self::run_instrumented(cfg);
-        (out.summary, out.series)
-    }
-
-    /// Run to the horizon and summarize.
-    ///
-    /// Players join uniformly over the ramp (deterministic stride —
-    /// the Poisson variant lives in the workload crate; a uniform
-    /// ramp keeps sweep points comparable). QoE measurement starts
-    /// after the join ramp plus a short settling period
-    /// (pre-adaptation transients are warmup).
-    pub fn run(cfg: StreamingSimConfig) -> RunSummary {
-        Self::run_detailed(cfg).0
-    }
-
     fn game_of(&self, id: GameId) -> Game {
         GAMES[id.index()]
     }
@@ -1556,7 +1494,7 @@ impl StreamingSim {
         }
     }
 
-    pub(crate) fn finish(&mut self, end: SimTime) {
+    fn finish(&mut self, end: SimTime) {
         // Close any open update feeds and convert to bytes.
         for (_, (count, since)) in std::mem::take(&mut self.update_feeds) {
             if count > 0 {
@@ -1583,7 +1521,7 @@ impl StreamingSim {
         }
     }
 
-    pub(crate) fn summarize(&self, events: u64, _end: SimTime) -> RunSummary {
+    fn summarize(&self, events: u64) -> RunSummary {
         let params = &self.cfg.params;
         let last_game = &self.last_game;
         let coverage = self.metrics.coverage(|pid: PlayerId| {
@@ -1662,18 +1600,12 @@ impl StreamingSim {
         self.telemetry.as_mut().map(|t| &mut t.causal)
     }
 
-    /// Lifecycle counters accumulated so far (meaningful only when
-    /// churn is enabled; all-zero otherwise).
-    pub(crate) fn churn_stats(&self) -> &ChurnStats {
-        &self.churn_stats
-    }
-
     /// Prefetch-plane counters accumulated so far (`None` when the
     /// plane is off). The cache keeps its own hit/miss/evict/peak
     /// counters; this composes them with the forecaster and encode-job
     /// counters into the one public [`PrefetchStats`] view, so nothing
     /// is ever counted twice.
-    pub(crate) fn prefetch_stats(&self) -> Option<PrefetchStats> {
+    fn prefetch_stats(&self) -> Option<PrefetchStats> {
         self.prefetch.as_ref().map(|ps| {
             let c = ps.cache.stats();
             let mut s = ps.stats;
@@ -1685,11 +1617,6 @@ impl StreamingSim {
             s.cache_bytes_peak = c.bytes_peak;
             s
         })
-    }
-
-    /// The causal report for a finished run, when telemetry was on.
-    pub(crate) fn causal_report(&self, run: &str) -> Option<CausalReport> {
-        self.telemetry.as_ref().map(|t| t.causal.report(run))
     }
 
     /// Deterministic tick-boundary snapshot for the sharded driver:
@@ -1799,20 +1726,14 @@ impl StreamingSim {
 
     /// Raw causal component sums accumulated so far ([`l_r`, `l_s`,
     /// `l_q`, `l_t`, `l_p`] order), when telemetry is on — the
-    /// mergeable input for cross-shard dominant-component attribution.
+    /// mergeable input for dominant-component alert provenance.
     pub(crate) fn causal_component_sums(&self) -> Option<[f64; 5]> {
         self.telemetry.as_ref().map(|t| t.causal.component_sums())
     }
 
-    /// Dominant latency component attributed so far, for alert
-    /// provenance. `None` when telemetry is off or nothing folded yet.
-    pub(crate) fn dominant_component(&self) -> Option<&'static str> {
-        self.telemetry.as_ref().and_then(|t| t.causal.dominant_component_so_far())
-    }
-
     /// Build the telemetry artifact for a finished run. Must only be
     /// called when telemetry was enabled.
-    pub(crate) fn telemetry_report(&self, summary: &RunSummary) -> TelemetryReport {
+    fn telemetry_report(&self, summary: &RunSummary) -> TelemetryReport {
         let state = self.telemetry.as_ref().expect("telemetry enabled");
         let tcfg = &state.cfg;
         let mut report = TelemetryReport::new(self.cfg.kind.label());

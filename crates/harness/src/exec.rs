@@ -1,15 +1,15 @@
 //! Thread-parallel matrix execution with an order-independent merge.
 //!
 //! Cells fan out through [`cloudfog_pool::map_indexed`] — real OS
-//! parallelism on `std::thread::scope` threads (the vendored rayon
-//! shim is sequential). Each finished run becomes a [`CellResult`]
-//! keyed by its scenario id; merging is a keyed map union, so *which
-//! worker ran which cell, and in what order results arrived, provably
-//! cannot change the merged report*: the map is the same set of
-//! `(id, result)` pairs either way, and every derived aggregate is
-//! folded over the map in ascending-id order. That keyed
-//! canonicalization — not floating-point associativity — is what makes
-//! the 1-worker vs N-worker differential test bit-exact.
+//! parallelism on `std::thread::scope` threads. Each finished run
+//! becomes a [`CellResult`] keyed by its scenario id; merging is a
+//! keyed map union, so *which worker ran which cell, and in what
+//! order results arrived, provably cannot change the merged report*:
+//! the map is the same set of `(id, result)` pairs either way, and
+//! every derived aggregate is folded over the map in ascending-id
+//! order. That keyed canonicalization — not floating-point
+//! associativity — is what makes the 1-worker vs N-worker
+//! differential test bit-exact.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -55,15 +55,22 @@ pub fn run_scenario(scenario: &Scenario) -> CellResult {
             cell
         }
         (Some(cfg), None) => cell_from_sharded(scenario, &ShardedSim::run(&cfg)),
-        (None, Some(live)) => {
-            let (out, report) = StreamingSim::run_live(scenario.config(), live, &mut NullSink);
-            let mut cell = cell_from_output(scenario, &out);
-            cell.alerts = report.alerts.alerts().to_vec();
-            cell
+        (None, _) => {
+            let (output, alerts) = run_monolithic(scenario);
+            CellResult { alerts, ..cell_from_output(scenario, &output) }
         }
-        (None, None) => {
-            cell_from_output(scenario, &StreamingSim::run_instrumented(scenario.config()))
+    }
+}
+
+/// Run a monolithic scenario — through the live entry point when it
+/// has a live plane — returning its output and the alerts fired.
+fn run_monolithic(scenario: &Scenario) -> (RunOutput, Vec<Alert>) {
+    match &scenario.live {
+        Some(live) => {
+            let (output, report) = StreamingSim::run_live(scenario.config(), live, &mut NullSink);
+            (output, report.alerts.alerts().to_vec())
         }
+        None => (StreamingSim::run_instrumented(scenario.config()), Vec::new()),
     }
 }
 
@@ -309,21 +316,11 @@ pub fn run_matrix(
             // written against a monolithic RunOutput, so only
             // matrix-level invariants see sharded cells.
             Some(_) => (run_scenario(scenario), Vec::new()),
-            None => match &scenario.live {
-                Some(live) => {
-                    let (output, report) =
-                        StreamingSim::run_live(scenario.config(), live, &mut NullSink);
-                    let violations = registry.check_run(scenario, &output);
-                    let mut cell = cell_from_output(scenario, &output);
-                    cell.alerts = report.alerts.alerts().to_vec();
-                    (cell, violations)
-                }
-                None => {
-                    let output = StreamingSim::run_instrumented(scenario.config());
-                    let violations = registry.check_run(scenario, &output);
-                    (cell_from_output(scenario, &output), violations)
-                }
-            },
+            None => {
+                let (output, alerts) = run_monolithic(scenario);
+                let violations = registry.check_run(scenario, &output);
+                (CellResult { alerts, ..cell_from_output(scenario, &output) }, violations)
+            }
         }
     });
 

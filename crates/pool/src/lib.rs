@@ -1,11 +1,9 @@
 //! Deterministic work-stealing execution on scoped threads.
 //!
-//! The vendored rayon shim is sequential (the build environment is
-//! offline), so every `par_iter` call site in the workspace silently
-//! ran on one core. This crate is the real thing: workers pull item
-//! indices from a shared atomic counter and run on
+//! Workers pull item indices from a shared atomic counter and run on
 //! [`std::thread::scope`] threads — genuine OS parallelism with no
-//! allocation-per-task machinery.
+//! allocation-per-task machinery and no dependency beyond `std` (the
+//! build environment is offline).
 //!
 //! Determinism is structural, not scheduled: results are placed back
 //! by item index ([`map_indexed`]) or written through disjoint chunks

@@ -646,18 +646,10 @@ impl CausalLog {
     }
 
     /// Cumulative per-component attributed latency sums (ms), indexed
-    /// like [`COMPONENTS`] — the raw material for a cross-shard
-    /// dominant-component fold.
+    /// like [`COMPONENTS`] — the raw material of the live plane's
+    /// dominant-component fold, stamped on every alert.
     pub fn component_sums(&self) -> [f64; 5] {
         self.attr.sums
-    }
-
-    /// The Eq. 12 component with the largest cumulative attributed
-    /// latency so far, straight off the running attribution fold —
-    /// O(1), so the live plane can stamp alert provenance on every
-    /// sampled tick. `None` until a measured trace has folded.
-    pub fn dominant_component_so_far(&self) -> Option<&'static str> {
-        (self.attr.folded > 0).then(|| COMPONENTS[argmax(&self.attr.sums)])
     }
 
     /// Fold the log into an immutable report for export.

@@ -53,15 +53,27 @@ fn sharded_config(lanes: usize) -> ShardedSimConfig {
 
 #[test]
 fn live_run_output_is_identical_to_plain_run() {
+    // (horizon, boundaries sampled at the 1 s tick): zero horizon is
+    // one boundary at t = 0 whose events still run, as in a plain
+    // run; 30.5 s is not a whole number of ticks.
+    let table = [
+        (SimDuration::ZERO, 1),
+        (SimDuration::from_secs(30), 30),
+        (SimDuration::from_millis(30_500), 31),
+    ];
     let live = LiveConfig::default();
-    let (out, report) = StreamingSim::run_live(mono_config(), &live, &mut NullSink);
-    let plain = StreamingSim::run_instrumented(mono_config());
-    assert_eq!(out.summary, plain.summary, "live sampling perturbed the run");
-    assert_eq!(out.causal, plain.causal);
-    assert!(report.samples > 0);
-    // Sampled gauges land where the final summary lands.
-    let cont = report.registry.gauge_value("qoe.continuity").expect("vocabulary installed");
-    assert!((cont - plain.summary.mean_continuity).abs() < 1e-9);
+    for (horizon, samples) in table {
+        let config = || StreamingSimConfig { horizon, ..mono_config() };
+        let (out, report) = StreamingSim::run_live(config(), &live, &mut NullSink);
+        let plain = StreamingSim::run_instrumented(config());
+        assert_eq!(out.summary, plain.summary, "live sampling perturbed the run at {horizon:?}");
+        assert_eq!(out.causal, plain.causal, "causal report differs at {horizon:?}");
+        assert!(plain.summary.events > 0, "the t = 0 events run at {horizon:?}");
+        assert_eq!(report.samples, samples, "boundaries sampled at {horizon:?}");
+        // Sampled gauges land where the final summary lands.
+        let cont = report.registry.gauge_value("qoe.continuity").expect("vocabulary installed");
+        assert!((cont - plain.summary.mean_continuity).abs() < 1e-9, "continuity at {horizon:?}");
+    }
 }
 
 #[test]
